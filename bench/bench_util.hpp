@@ -3,7 +3,8 @@
 // formatting. Each bench binary regenerates one table/figure of the paper.
 // Environment knobs honoured by every sweep-engine-based driver:
 //   HM_FULL_SWEEP=1   run every chiplet count instead of the decimated set
-//   HM_THREADS=K      sweep with K threads (default: hardware concurrency)
+//   HM_THREADS=K      sweep with K threads, 0..4096 (default: hardware
+//                     concurrency); anything else exits 1
 //   HM_CSV=path       additionally export the raw sweep records as CSV
 //   HM_JSON=path      additionally export the raw sweep records as JSON
 #pragma once
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
 #include "explore/export.hpp"
@@ -82,13 +84,13 @@ inline void header(const std::string& what, const std::string& paper_ref) {
   std::printf("\n");
 }
 
-/// Sweep concurrency: HM_THREADS, defaulting to the hardware.
+/// Sweep concurrency: HM_THREADS, defaulting to the hardware (0, which
+/// ThreadPool resolves to hardware_concurrency). Parsed like every
+/// example's --threads; a malformed or out-of-range value exits 1.
 inline unsigned sweep_threads() {
-  if (const char* env = std::getenv("HM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(v);
-  }
-  return 0;  // ThreadPool resolves 0 to hardware_concurrency
+  const char* env = std::getenv("HM_THREADS");
+  if (env == nullptr) return 0;
+  return cli::require_unsigned(env, "HM_THREADS", 0, cli::kMaxThreads);
 }
 
 /// Runs `spec` on a fresh SweepEngine with the standard bench options and

@@ -139,6 +139,11 @@ inline double require_double(const char* s, const char* what,
   return value;
 }
 
+/// The thread-count ceiling of every `--threads` flag and HM_THREADS: far
+/// above any real core count, low enough that a typo cannot ask the
+/// ThreadPool for a billion threads.
+inline constexpr unsigned kMaxThreads = 4096;
+
 /// The chiplet-count ceiling shared by every example (hoisted from PR 4's
 /// arrangement_explorer hardening): large enough for any plausible demo,
 /// small enough that a typo cannot allocate the machine away.

@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (std::strcmp(argv[i], "--threads") == 0) {
-        threads = hm::cli::require_unsigned(argv[++i], "--threads", 0, 4096);
+        threads = hm::cli::require_unsigned(argv[++i], "--threads", 0,
+                                            hm::cli::kMaxThreads);
       } else if (std::strcmp(argv[i], "--search") == 0) {
         search_steps =
             hm::cli::require_size(argv[++i], "--search steps", 1, 1000000);

@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
           need_value("--port"), "--port", 0, 65535));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       opt.threads = hm::cli::require_unsigned(need_value("--threads"),
-                                              "--threads", 0, 4096);
+                                              "--threads", 0,
+                                              hm::cli::kMaxThreads);
     } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
       cache_dir = need_value("--cache-dir");
     } else if (std::strcmp(argv[i], "--max-pending") == 0) {

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
           need_value("--fault-kills"), "--fault-kills", 1, 64));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       threads = hm::cli::require_unsigned(need_value("--threads"),
-                                          "--threads", 0, 4096);
+                                          "--threads", 0, hm::cli::kMaxThreads);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       seed = hm::cli::require_u64(need_value("--seed"), "--seed");
     } else if (std::strcmp(argv[i], "--trace") == 0) {

@@ -1,7 +1,10 @@
 #include "explore/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
 
 #include "explore/cached_eval.hpp"
@@ -11,6 +14,24 @@
 #include "telemetry/trace.hpp"
 
 namespace hm::explore {
+
+namespace {
+
+/// Dispatch weight of one job: chiplets x the cycles its parameters ask
+/// the simulator for. Analytic-only points (no measurement selected, or
+/// fewer than two chiplets) weigh 0. Only the relative order matters.
+std::uint64_t estimated_cost(const SweepPoint& point) {
+  if (point.chiplet_count < 2) return 0;
+  const auto& p = point.params;
+  noc::Cycle cycles = 0;
+  if (p.measure_latency) cycles += p.latency_warmup + p.latency_measure;
+  if (p.measure_saturation) {
+    cycles += p.throughput_warmup + p.throughput_measure;
+  }
+  return point.chiplet_count * static_cast<std::uint64_t>(cycles);
+}
+
+}  // namespace
 
 std::vector<SweepPoint> SweepSpec::points() const {
   if (types.empty()) {
@@ -147,11 +168,25 @@ std::vector<SweepRecord> SweepEngine::run(const SweepSpec& spec) {
     }
   }
 
+  // Longest-first dispatch (Graham's LPT rule): the pool claims jobs in
+  // vector order, so queueing the most expensive points first keeps the
+  // long poles from starting last while the other workers sit idle. Ties
+  // keep point order. Each job still fills records[i] with its own seed,
+  // so only the claim order changes, never the results.
+  std::vector<std::uint64_t> cost(points.size());
+  std::transform(points.begin(), points.end(), cost.begin(), estimated_cost);
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&cost](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+
   std::vector<SweepRecord> records(points.size());
   std::size_t completed = 0;  // guarded by progress_mu_
   std::vector<std::function<void()>> jobs;
   jobs.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (const std::size_t i : order) {
     jobs.push_back([this, &points, &records, &completed, i] {
       records[i] = evaluate_point(points[i]);
       if (options_.on_progress) {

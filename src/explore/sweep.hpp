@@ -166,8 +166,13 @@ class SweepEngine {
 
   /// Runs every point of the sweep (the spec's cartesian product plus any
   /// arrangements registered via add_arrangement); records are returned in
-  /// point order regardless of completion order. Re-entrant per engine:
-  /// call run() repeatedly to reuse the cache across related sweeps.
+  /// point order regardless of completion order. Jobs are handed to the
+  /// pool longest first — descending chiplet_count x simulated cycles the
+  /// point's params ask for (analytic-only points weigh 0), ties in point
+  /// order — so the long poles never start last. Only the claim order
+  /// changes: per-job seeds, records and exports do not. Re-entrant per
+  /// engine: call run() repeatedly to reuse the cache across related
+  /// sweeps.
   [[nodiscard]] std::vector<SweepRecord> run(const SweepSpec& spec);
 
   [[nodiscard]] ResultCache& cache() noexcept { return cache_; }

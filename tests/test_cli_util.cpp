@@ -66,6 +66,11 @@ TEST(CliParseUnsigned, MirrorsParseSize) {
   EXPECT_FALSE(parse_unsigned("-1", 0, 4096, &v));
   EXPECT_FALSE(parse_unsigned("4097", 0, 4096, &v));
   EXPECT_FALSE(parse_unsigned("8threads", 0, 4096, &v));
+  // HM_THREADS values the benches' former unchecked strtol accepted: "8x"
+  // read as 8, and 99999999999 wrapped to 1215752191 threads.
+  EXPECT_FALSE(parse_unsigned("8x", 0, hm::cli::kMaxThreads, &v));
+  EXPECT_FALSE(parse_unsigned("99999999999", 0, hm::cli::kMaxThreads, &v));
+  EXPECT_EQ(v, 8u) << "rejected parse must not touch the output";
 }
 
 TEST(CliParseU64, FullRangeSeeds) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -276,6 +277,56 @@ TEST(SweepEngine, ProgressCallbackCoversEveryJob) {
   // Serialized callback sees a strictly increasing completion count.
   for (std::size_t i = 0; i < completions.size(); ++i) {
     EXPECT_EQ(completions[i], i + 1);
+  }
+}
+
+TEST(SweepEngine, DispatchesLongestJobsFirst) {
+  // Mixed counts (unsorted), mixed measurement selections and analytic-only
+  // points: N = 1 and the no-measurement param set both weigh 0.
+  SweepSpec spec;
+  spec.types = {core::ArrangementType::kGrid,
+                core::ArrangementType::kHexaMesh};
+  spec.chiplet_counts = {2, 7, 1, 4};
+  auto latency_only = tiny_sim_params();
+  latency_only.measure_saturation = false;
+  auto analytic = tiny_sim_params();
+  analytic.measure_latency = false;
+  analytic.measure_saturation = false;
+  spec.param_grid = {tiny_sim_params(), latency_only, analytic};
+  const auto cost = [](const SweepPoint& p) -> std::uint64_t {
+    if (p.chiplet_count < 2) return 0;
+    std::int64_t cycles = 0;
+    if (p.params.measure_latency) {
+      cycles += p.params.latency_warmup + p.params.latency_measure;
+    }
+    if (p.params.measure_saturation) {
+      cycles += p.params.throughput_warmup + p.params.throughput_measure;
+    }
+    return p.chiplet_count * static_cast<std::uint64_t>(cycles);
+  };
+
+  SweepEngine::Options opt;
+  opt.threads = 1;
+  std::vector<SweepPoint> completed;
+  opt.on_progress = [&](const SweepProgress& p) {
+    completed.push_back(p.last->point);
+  };
+  const auto records = SweepEngine(opt).run(spec);
+  ASSERT_EQ(records.size(), 24u);
+  ASSERT_EQ(completed.size(), 24u);
+  for (std::size_t i = 1; i < completed.size(); ++i) {
+    const auto prev = cost(completed[i - 1]);
+    const auto cur = cost(completed[i]);
+    EXPECT_GE(prev, cur) << "completion " << i;
+    if (prev == cur) {
+      EXPECT_LT(completed[i - 1].index, completed[i].index)
+          << "completion " << i;
+    }
+  }
+  EXPECT_GT(cost(completed.front()), cost(completed.back()));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].point.index, i);
+    EXPECT_TRUE(records[i].error.empty()) << records[i].error;
   }
 }
 
