@@ -112,7 +112,9 @@ void Simulator::tick(SyntheticTraffic& traffic) {
   ++now_;
 }
 
-void Simulator::advance_until(Cycle limit, SyntheticTraffic& traffic) {
+void Simulator::advance_until(Cycle limit, SyntheticTraffic& traffic,
+                              bool stop_at_drop) {
+  const std::uint64_t dropped_before = packets_dropped_;
   while (now_ < limit) {
     if (cfg_.skip_idle && net_.quiescent()) {
       // Nothing buffered, queued or in flight: every cycle until the next
@@ -133,6 +135,7 @@ void Simulator::advance_until(Cycle limit, SyntheticTraffic& traffic) {
       }
     }
     tick(traffic);
+    if (stop_at_drop && packets_dropped_ != dropped_before) return;
   }
 }
 
@@ -185,7 +188,8 @@ LatencyResult Simulator::run_latency(double flit_rate, Cycle warmup,
 }
 
 ThroughputResult Simulator::run_throughput(double flit_rate, Cycle warmup,
-                                           Cycle measure) {
+                                           Cycle measure,
+                                           ThroughputWindow window) {
   SyntheticTraffic traffic(traffic_spec_, net_.num_endpoints(), flit_rate,
                            cfg_.packet_length);
   bind_traffic(traffic);
@@ -196,13 +200,17 @@ ThroughputResult Simulator::run_throughput(double flit_rate, Cycle warmup,
   const std::uint64_t ejected_before = net_.total_flits_ejected();
   const std::uint64_t admitted_before = packets_admitted_;
   const std::uint64_t dropped_before = packets_dropped_;
-  advance_until(measure_end, traffic);
+  advance_until(measure_end, traffic,
+                window == ThroughputWindow::kUntilFirstDrop);
   const std::uint64_t ejected_after = net_.total_flits_ejected();
 
   ThroughputResult result;
   result.offered_flit_rate = flit_rate;
+  result.measured_cycles = now_ - measure_begin;
+  result.stopped_early = now_ < measure_end;
   const double window_endpoints =
-      static_cast<double>(measure) * static_cast<double>(net_.num_endpoints());
+      static_cast<double>(result.measured_cycles) *
+      static_cast<double>(net_.num_endpoints());
   result.accepted_flit_rate =
       static_cast<double>(ejected_after - ejected_before) / window_endpoints;
   result.generated_flit_rate =
@@ -268,10 +276,14 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   // A probe's outcome is a pure function of its offered rate: it runs on a
   // fresh network whose seed depends only on (cfg.seed, rate). That is the
   // invariant that makes speculative parallel probing below bit-identical
-  // to the sequential search.
-  auto run_one = [&](double rate) {
+  // to the sequential search. Search probes stop at their first in-window
+  // drop (the outcome is already "unstable" then); only the no-stable-rate
+  // fallback below asks for a full window.
+  auto run_one = [&](double rate, ThroughputWindow window) {
     telemetry::Span span("sat.probe");
     static telemetry::Counter probes_run("sat.probes");
+    static telemetry::Counter probe_cycles("sat.probe_cycles");
+    static telemetry::Counter probes_cut("sat.probes_cut");
     probes_run.add();
     SimConfig probe_cfg = cfg;
     if (opts.per_probe_seeds) {
@@ -281,7 +293,11 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
     // to a fresh network on the shared topology, minus the allocator churn).
     Simulator sim(SimulationArena::local(), topo, probe_cfg);
     sim.set_traffic(traffic);
-    return sim.run_throughput(rate, opts.warmup, opts.measure);
+    const ThroughputResult r =
+        sim.run_throughput(rate, opts.warmup, opts.measure, window);
+    probe_cycles.add(static_cast<std::uint64_t>(sim.now()));
+    if (r.stopped_early) probes_cut.add();
+    return r;
   };
 
   // Memoized probes, batched through the executor when one is available.
@@ -292,6 +308,7 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   // comparisons on the probe path.
   std::unordered_map<std::uint64_t, ThroughputResult> memo;
   const auto rate_key = [](double rate) { return saturation_rate_key(rate); };
+  constexpr auto kSearchWindow = ThroughputWindow::kUntilFirstDrop;
   auto ensure = [&](const std::vector<double>& rates) {
     std::vector<double> missing;
     for (double r : rates) {
@@ -307,19 +324,29 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
       std::vector<std::function<void()>> jobs;
       jobs.reserve(missing.size());
       for (std::size_t i = 0; i < missing.size(); ++i) {
-        jobs.push_back([&, i] { out[i] = run_one(missing[i]); });
+        jobs.push_back([&, i] { out[i] = run_one(missing[i], kSearchWindow); });
       }
       executor->run_batch(jobs);
       for (std::size_t i = 0; i < missing.size(); ++i) {
         memo.emplace(rate_key(missing[i]), out[i]);
       }
     } else {
-      for (double r : missing) memo.emplace(rate_key(r), run_one(r));
+      for (double r : missing) {
+        memo.emplace(rate_key(r), run_one(r, kSearchWindow));
+      }
     }
   };
   auto probe = [&](double rate) -> const ThroughputResult& {
     ensure({rate});
     return memo.at(rate_key(rate));
+  };
+  // Accepted rate of a probe over its full window: a cut probe's rate
+  // covers only the onset of congestion, so it is re-run (and counted).
+  auto full_window_accepted = [&](double rate) {
+    const ThroughputResult& r = probe(rate);
+    if (!r.stopped_early) return r.accepted_flit_rate;
+    ++result.probes;
+    return run_one(rate, ThroughputWindow::kFull).accepted_flit_rate;
   };
 
   // Stable = the source queues never overflowed during the measurement
@@ -420,7 +447,7 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
     // above 0 found, report the lowest unstable probe's accepted rate.
     result.accepted_flit_rate =
         lo_k > 0 ? memo.at(rate_key(rate_of(lo_k))).accepted_flit_rate
-                 : std::min(probe(rate_of(hi_k)).accepted_flit_rate,
+                 : std::min(full_window_accepted(rate_of(hi_k)),
                             rate_of(hi_k));
     return result;
   }
@@ -472,8 +499,7 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   // If the search never found a stable point above 0 (pathological), report
   // the accepted rate of the lowest unstable probe as a best effort.
   result.accepted_flit_rate =
-      lo > 0.0 ? accepted_at_lo
-               : std::min(probe(hi).accepted_flit_rate, hi);
+      lo > 0.0 ? accepted_at_lo : std::min(full_window_accepted(hi), hi);
   return result;
 }
 

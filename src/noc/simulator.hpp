@@ -57,6 +57,21 @@ struct ThroughputResult {
   /// Packets dropped at full source queues during the measurement window —
   /// the reliable saturation indicator (zero below the knee).
   std::uint64_t dropped_packets = 0;
+  /// Cycles of the measurement window actually simulated; every rate above
+  /// is divided by this count. Equals the requested window unless the run
+  /// was cut (stopped_early).
+  Cycle measured_cycles = 0;
+  /// True when a ThroughputWindow::kUntilFirstDrop run stopped at its first
+  /// in-window drop before the window ended. Such a run proves only that
+  /// the rate is past the knee: its rates cover the congested onset, not
+  /// the steady state, and must not be reported as throughput.
+  bool stopped_early = false;
+};
+
+/// How much of its measurement window run_throughput simulates.
+enum class ThroughputWindow {
+  kFull,            ///< the whole window (the default for every caller)
+  kUntilFirstDrop,  ///< stop after the first tick that drops a packet
 };
 
 /// Options for the saturation-point search.
@@ -115,6 +130,15 @@ struct SaturationResult {
 /// offered curve via binary search, running each probe on a fresh network.
 /// Overdriving a fully adaptive network far beyond saturation only measures
 /// the escape network's drain rate, not the design's usable throughput.
+///
+/// Every probe runs with ThroughputWindow::kUntilFirstDrop: a single drop
+/// inside the measurement window already makes the probe unstable, so the
+/// congested rest of its window is never simulated. Stable probes never
+/// drop and still run the full window, so every stable/unstable decision,
+/// the returned rates and `probes` are those of full-window probes. The
+/// one reader of an unstable probe's accepted rate — the fallback when no
+/// rate above 0 is stable — re-runs that probe with the full window when
+/// it was cut, and counts the re-run in `probes`.
 ///
 /// Re-entrant: no shared mutable state, safe to call concurrently. When
 /// `executor` is non-null the search runs its independent probes in
@@ -177,8 +201,14 @@ class Simulator {
 
   /// Accepted throughput at the given offered rate over a measurement
   /// window following warmup. Offer 1.0 to measure saturation throughput.
-  ThroughputResult run_throughput(double flit_rate, Cycle warmup = 10000,
-                                  Cycle measure = 10000);
+  /// With ThroughputWindow::kUntilFirstDrop the run stops after the first
+  /// tick that drops a packet inside the window; the result then has
+  /// stopped_early set, measured_cycles < measure, and rates over the cut
+  /// window only. Up to that tick the run is identical to a full one, so
+  /// a run that never drops returns the full-window result exactly.
+  ThroughputResult run_throughput(
+      double flit_rate, Cycle warmup = 10000, Cycle measure = 10000,
+      ThroughputWindow window = ThroughputWindow::kFull);
 
   /// Resilience run: warm the healthy network up at `flit_rate` for
   /// `warmup` cycles, arm `plan` (event times count from the arm point),
@@ -204,11 +234,14 @@ class Simulator {
   /// Advances one cycle: due traffic events, then network step.
   void tick(SyntheticTraffic& traffic);
 
-  /// Ticks until now_ == limit. In skip-idle mode, quiescent stretches
-  /// (nothing in the network, no traffic event due) are fast-forwarded to
-  /// the traffic source's next event cycle — the skipped cycles are
-  /// observable no-ops, so results are bit-identical to dense stepping.
-  void advance_until(Cycle limit, SyntheticTraffic& traffic);
+  /// Ticks until now_ == limit, or — when `stop_at_drop` is set — until
+  /// the first tick that drops a packet at a full source queue. In
+  /// skip-idle mode, quiescent stretches (nothing in the network, no
+  /// traffic event due) are fast-forwarded to the traffic source's next
+  /// event cycle — the skipped cycles are observable no-ops (they drop
+  /// nothing), so results are bit-identical to dense stepping.
+  void advance_until(Cycle limit, SyntheticTraffic& traffic,
+                     bool stop_at_drop = false);
 
   /// Binds `traffic`'s per-endpoint event streams for a run starting now.
   /// The base seed is salted with the start cycle so back-to-back runs on

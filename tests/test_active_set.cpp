@@ -8,6 +8,10 @@
 //  2. The surrogate-bracketed saturation search returns exactly the plain
 //     bisection's rate (it probes the same dyadic grid), within a bounded
 //     probe budget when the analytic estimate is wired in.
+//  3. A saturation probe cut at its first in-window drop decides exactly
+//     what the full-window probe decides, and the one search path that
+//     reports an unstable probe's accepted rate (no stable rate above 0)
+//     reports the full-window rate.
 //
 // Plus: Network::reset() clears the active-set state (the arena recycles
 // networks through reset(); stale worklists would violate the skip-mode
@@ -35,6 +39,8 @@ using hm::noc::Packet;
 using hm::noc::RoutingMode;
 using hm::noc::SimConfig;
 using hm::noc::Simulator;
+using hm::noc::ThroughputResult;
+using hm::noc::ThroughputWindow;
 using hm::noc::TrafficPattern;
 using hm::noc::TrafficSpec;
 
@@ -224,6 +230,114 @@ TEST(SurrogateSearch, ProbeBudgetBounded) {
   EXPECT_EQ(pruned.saturation_flit_rate, plain.saturation_flit_rate);
   EXPECT_LE(pruned.probes, 6);
   EXPECT_LT(pruned.probes, plain.probes);
+}
+
+/// find_saturation's stability rule at its default threshold.
+bool stable(const ThroughputResult& r) {
+  return r.dropped_packets == 0 &&
+         r.accepted_flit_rate >= 0.9 * r.generated_flit_rate;
+}
+
+TEST(EarlyExitProbe, DecidesExactlyWhatTheFullWindowDecides) {
+  constexpr Cycle kWarmup = 300;
+  constexpr Cycle kMeasure = 300;
+  const TrafficSpec traffics[] = {TrafficSpec{}, hotspot_spec()};
+  int cut = 0;
+  for (const auto type : {ArrangementType::kGrid, ArrangementType::kBrickwall,
+                          ArrangementType::kHexaMesh}) {
+    for (const std::size_t n : {4u, 9u, 16u}) {
+      const auto topo = hm::noc::TopologyContext::acquire(
+          make_arrangement(type, n).graph());
+      for (const unsigned long long seed : {7ull, 42ull}) {
+        SimConfig cfg;
+        cfg.seed = seed;
+        for (const TrafficSpec& traffic : traffics) {
+          for (int k = 1; k <= 16; ++k) {
+            const double rate = k / 16.0;
+            SCOPED_TRACE(hm::core::to_string(type) + " N=" +
+                         std::to_string(n) + " seed=" + std::to_string(seed) +
+                         " " + traffic.describe() +
+                         " rate=" + std::to_string(rate));
+            Simulator full_sim(topo, cfg);
+            full_sim.set_traffic(traffic);
+            const auto full = full_sim.run_throughput(rate, kWarmup, kMeasure);
+            Simulator early_sim(topo, cfg);
+            early_sim.set_traffic(traffic);
+            const auto early = early_sim.run_throughput(
+                rate, kWarmup, kMeasure, ThroughputWindow::kUntilFirstDrop);
+
+            EXPECT_FALSE(full.stopped_early);
+            EXPECT_EQ(full.measured_cycles, kMeasure);
+            EXPECT_EQ(stable(early), stable(full));
+            if (early.stopped_early) {
+              ++cut;
+              EXPECT_GE(early.dropped_packets, 1u);
+              EXPECT_LT(early.measured_cycles, kMeasure);
+              EXPECT_EQ(early_sim.now(), kWarmup + early.measured_cycles);
+              // Its rates are those of a full run over the cycles it
+              // measured, not of the requested window.
+              Simulator short_sim(topo, cfg);
+              short_sim.set_traffic(traffic);
+              const auto same = short_sim.run_throughput(
+                  rate, kWarmup, early.measured_cycles);
+              EXPECT_EQ(early.accepted_flit_rate, same.accepted_flit_rate);
+              EXPECT_EQ(early.generated_flit_rate, same.generated_flit_rate);
+              EXPECT_EQ(early.dropped_packets, same.dropped_packets);
+            } else {
+              // Never cut means the whole window ran: field for field the
+              // full result (stable runs always land here).
+              EXPECT_EQ(early.offered_flit_rate, full.offered_flit_rate);
+              EXPECT_EQ(early.accepted_flit_rate, full.accepted_flit_rate);
+              EXPECT_EQ(early.generated_flit_rate, full.generated_flit_rate);
+              EXPECT_EQ(early.dropped_packets, full.dropped_packets);
+              EXPECT_EQ(early.measured_cycles, full.measured_cycles);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cut, 0) << "no probe crossed the knee: the early exit was idle";
+}
+
+TEST(EarlyExitProbe, NoStableRateFallbackReportsFullWindowAcceptedRate) {
+  // Two hotspots absorbing 90% of the traffic of 32 endpoints: 0.5
+  // flits/cycle/endpoint overruns their ejection ports, so a one-iteration
+  // search finds no stable rate above 0 and falls back to the accepted
+  // rate of its lowest unstable probe, 0.5.
+  const auto topo = hm::noc::TopologyContext::acquire(
+      make_arrangement(ArrangementType::kGrid, 16).graph());
+  const SimConfig cfg;
+  TrafficSpec traffic = hotspot_spec();
+  traffic.hotspot_fraction = 0.9;
+  auto opts = fast_search();
+  opts.iterations = 1;
+
+  Simulator full_sim(topo, cfg);
+  full_sim.set_traffic(traffic);
+  const auto full = full_sim.run_throughput(0.5, opts.warmup, opts.measure);
+  Simulator cut_sim(topo, cfg);
+  cut_sim.set_traffic(traffic);
+  const auto cut = cut_sim.run_throughput(0.5, opts.warmup, opts.measure,
+                                          ThroughputWindow::kUntilFirstDrop);
+  // The search's own probe at 0.5 is cut, so the fallback must re-run it.
+  ASSERT_TRUE(cut.stopped_early);
+  ASSERT_NE(cut.accepted_flit_rate, full.accepted_flit_rate);
+  const double expected = std::min(full.accepted_flit_rate, 0.5);
+
+  // Plain bisection: probes 1.0 and 0.5, then the full-window re-run.
+  const auto plain = hm::noc::find_saturation(topo, cfg, opts, traffic);
+  EXPECT_EQ(plain.saturation_flit_rate, 0.0);
+  EXPECT_EQ(plain.accepted_flit_rate, expected);
+  EXPECT_EQ(plain.probes, 3);
+
+  // Surrogate search from an estimate near 0: probes 0.5, then the re-run.
+  auto sopts = opts;
+  sopts.surrogate_rate = 0.01;
+  const auto pruned = hm::noc::find_saturation(topo, cfg, sopts, traffic);
+  EXPECT_EQ(pruned.saturation_flit_rate, 0.0);
+  EXPECT_EQ(pruned.accepted_flit_rate, expected);
+  EXPECT_EQ(pruned.probes, 2);
 }
 
 }  // namespace

@@ -43,6 +43,8 @@ void expect_same(const ThroughputResult& a, const ThroughputResult& b) {
   EXPECT_EQ(a.accepted_flit_rate, b.accepted_flit_rate);
   EXPECT_EQ(a.generated_flit_rate, b.generated_flit_rate);
   EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+  EXPECT_EQ(a.measured_cycles, b.measured_cycles);
+  EXPECT_EQ(a.stopped_early, b.stopped_early);
 }
 
 ThroughputResult probe_fresh(std::shared_ptr<const TopologyContext> topo,

@@ -8,6 +8,8 @@
 //   * disabled telemetry drops increments (the no-op fast path);
 //   * the Chrome tracer emits well-formed trace_event JSON with one
 //     complete "X" event per finished span across threads;
+//   * the saturation search reports the probes it cut at their first
+//     in-window drop and the cycles its probes actually simulated;
 //   * and the headline rule — telemetry never perturbs simulation — by
 //     re-running the committed golden sweep with the registry *and* the
 //     tracer armed at 1/4/8 threads and requiring byte-identical exports.
@@ -20,9 +22,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
 #include "explore/export.hpp"
 #include "explore/sweep.hpp"
+#include "noc/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -192,6 +196,30 @@ TEST_F(Telemetry, SpanIsNoOpWhenNotTracing) {
 
 /// The golden spec of test_golden_sweep: 3 families x {4, 9} chiplets x
 /// {uniform, hotspot}, short windows, default base seed.
+TEST_F(Telemetry, SaturationSearchCountsCutProbesAndSimulatedCycles) {
+  tel::set_enabled(true);
+  hm::noc::SaturationSearchOptions opts;
+  opts.warmup = 400;
+  opts.measure = 400;
+  const auto arr = hm::core::make_arrangement(
+      hm::core::ArrangementType::kHexaMesh, 9);
+  const auto sat = hm::noc::find_saturation(arr.graph(), hm::noc::SimConfig{},
+                                            opts);
+  // The search crossed the knee: the full-rate probe was unstable.
+  ASSERT_LT(sat.saturation_flit_rate, 1.0);
+
+  const tel::Snapshot snap = tel::snapshot();
+  const auto probes = snap.counters.at("sat.probes");
+  const auto cut = snap.counters.at("sat.probes_cut");
+  const auto cycles = snap.counters.at("sat.probe_cycles");
+  EXPECT_EQ(probes, static_cast<std::uint64_t>(sat.probes));
+  EXPECT_GE(cut, 1u);
+  EXPECT_LE(cut, probes);
+  EXPECT_GT(cycles, 0u);
+  EXPECT_LT(cycles, probes * static_cast<std::uint64_t>(opts.warmup +
+                                                        opts.measure));
+}
+
 hm::explore::SweepSpec golden_spec() {
   hm::core::EvaluationParams params;
   params.latency_warmup = 300;
@@ -262,6 +290,8 @@ TEST_P(TelemetryGoldenSweep, ExportsUnchangedWithTelemetryOn) {
   EXPECT_GT(snap.counters.at("sim.flits_routed"), 0u);
   EXPECT_GT(snap.counters.at("pool.jobs_run"), 0u);
   EXPECT_GT(snap.counters.at("sat.probes"), 0u);
+  EXPECT_LE(snap.counters.at("sat.probes_cut"),
+            snap.counters.at("sat.probes"));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TelemetryGoldenSweep,
