@@ -135,31 +135,10 @@ double analytic_saturation_estimate(const EvaluationResult& r,
 EvaluationResult evaluate(const Arrangement& arr,
                           const EvaluationParams& params,
                           const noc::TrafficSpec& traffic,
-                          noc::ProbeExecutor* executor) {
-  return evaluate_simulation(arr, params, evaluate_analytic(arr, params),
-                             traffic, executor);
-}
-
-EvaluationResult evaluate(const Arrangement& arr,
-                          const EvaluationParams& params,
-                          const noc::TrafficSpec& traffic,
                           noc::ProbeExecutor* executor,
                           std::shared_ptr<const noc::TopologyContext> topology) {
   return evaluate_simulation(arr, params, evaluate_analytic(arr, params),
                              traffic, executor, std::move(topology));
-}
-
-EvaluationResult evaluate_simulation(const Arrangement& arr,
-                                     const EvaluationParams& params,
-                                     EvaluationResult analytic,
-                                     const noc::TrafficSpec& traffic,
-                                     noc::ProbeExecutor* executor) {
-  // One shared topology for the latency run and every saturation probe;
-  // the process-wide cache collapses repeated evaluations of the same
-  // design (e.g. traffic/simulator ablations) onto one table build.
-  return evaluate_simulation(arr, params, std::move(analytic), traffic,
-                             executor,
-                             noc::TopologyContext::acquire(arr.graph()));
 }
 
 EvaluationResult evaluate_simulation(
@@ -171,10 +150,12 @@ EvaluationResult evaluate_simulation(
     throw std::invalid_argument(
         "evaluate: cycle-accurate evaluation needs >= 2 chiplets");
   }
+  // One shared topology for the latency run and every saturation probe;
+  // the process-wide cache collapses repeated evaluations of the same
+  // design (e.g. traffic/simulator ablations) onto one table build.
   if (topology == nullptr) {
-    throw std::invalid_argument("evaluate: null topology context");
-  }
-  if (topology->digest() != noc::graph_digest(arr.graph())) {
+    topology = noc::TopologyContext::acquire(arr.graph());
+  } else if (topology->digest() != noc::graph_digest(arr.graph())) {
     throw std::invalid_argument(
         "evaluate: topology context built for a different graph");
   }

@@ -144,40 +144,28 @@ struct EvaluationResult {
 /// latency run and the saturation-search probes — run in parallel; the
 /// result is bit-identical to the sequential evaluation because every
 /// probe owns a fresh, deterministically seeded simulator.
-[[nodiscard]] EvaluationResult evaluate(const Arrangement& arr,
-                                        const EvaluationParams& params = {},
-                                        const noc::TrafficSpec& traffic = {},
-                                        noc::ProbeExecutor* executor = nullptr);
-
-/// evaluate() on a pre-acquired shared topology for arr.graph(): the
-/// zero-load latency run and every saturation probe reuse `topology`
-/// read-only instead of rebuilding routing tables per fresh simulator.
-/// Throws std::invalid_argument when `topology` was built for a different
-/// graph. The overloads without a context acquire one per call, which the
-/// process-wide context cache still collapses to a single build per graph.
+///
+/// The zero-load latency run and every saturation probe share one
+/// read-only `topology` for arr.graph(). Null acquires it from the
+/// process-wide context cache, which collapses repeated evaluations of the
+/// same graph onto one table build; a caller that already holds the
+/// context (e.g. a delta-built search candidate) passes it in. Throws
+/// std::invalid_argument when `topology` was built for a different graph.
 [[nodiscard]] EvaluationResult evaluate(
-    const Arrangement& arr, const EvaluationParams& params,
-    const noc::TrafficSpec& traffic, noc::ProbeExecutor* executor,
-    std::shared_ptr<const noc::TopologyContext> topology);
+    const Arrangement& arr, const EvaluationParams& params = {},
+    const noc::TrafficSpec& traffic = {},
+    noc::ProbeExecutor* executor = nullptr,
+    std::shared_ptr<const noc::TopologyContext> topology = nullptr);
 
 /// The simulation half of evaluate(): takes an `analytic` result already
 /// computed by evaluate_analytic(arr, params) and fills in the
 /// cycle-accurate fields. Lets callers (e.g. the sweep engine's
 /// ResultCache) share one analytic evaluation across many traffic or
-/// simulator ablations of the same design.
+/// simulator ablations of the same design. `topology` as in evaluate().
 [[nodiscard]] EvaluationResult evaluate_simulation(
     const Arrangement& arr, const EvaluationParams& params,
     EvaluationResult analytic, const noc::TrafficSpec& traffic = {},
-    noc::ProbeExecutor* executor = nullptr);
-
-/// evaluate_simulation() on a pre-acquired shared topology (see the
-/// evaluate() context overload). This is the entry point the sweep engine
-/// uses so that one topology build serves every probe of a job — and, via
-/// the context cache, every job of the same design.
-[[nodiscard]] EvaluationResult evaluate_simulation(
-    const Arrangement& arr, const EvaluationParams& params,
-    EvaluationResult analytic, const noc::TrafficSpec& traffic,
-    noc::ProbeExecutor* executor,
-    std::shared_ptr<const noc::TopologyContext> topology);
+    noc::ProbeExecutor* executor = nullptr,
+    std::shared_ptr<const noc::TopologyContext> topology = nullptr);
 
 }  // namespace hm::core

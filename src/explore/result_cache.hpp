@@ -107,7 +107,7 @@ class ResultCache {
   /// shard and aggregated across every ResultCache instance, as the
   /// `cache.shardNN.{hits,misses}` counters in telemetry::snapshot() — the
   /// uniform surface. These per-instance accessors stay for the engines'
-  /// delta bookkeeping (SearchResult::cache_hits etc.).
+  /// delta bookkeeping (TemperingResult::cache_hits etc.).
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 

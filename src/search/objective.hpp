@@ -1,7 +1,6 @@
-// Pluggable scoring for the arrangement-search engines (single-chain
-// local search in search/search.hpp, parallel tempering in
-// search/tempering.hpp). A score is a scalar the search *maximizes*,
-// derived from one Sec. VI EvaluationResult.
+// Pluggable scoring for the arrangement search (search/tempering.hpp). A
+// score is a scalar the search *maximizes*, derived from one Sec. VI
+// EvaluationResult.
 //
 // Besides the two single-axis objectives of PR 4 (saturation throughput,
 // negated zero-load latency), this adds the multi-objective score the

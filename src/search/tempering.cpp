@@ -1,8 +1,10 @@
 #include "search/tempering.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -10,14 +12,11 @@
 #include "explore/hash.hpp"
 #include "noc/rng.hpp"
 #include "noc/topology.hpp"
-#include "search/trace_io.hpp"
 #include "store/result_store.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
 namespace hm::search {
-
-using detail::fmt;
 
 namespace {
 
@@ -34,6 +33,14 @@ struct Replica {
   core::EvaluationResult eval;
   double score = 0.0;
 };
+
+/// Shortest round-trip decimal form of a double (exact, locale-free) —
+/// the same formatting contract as the sweep exports.
+std::string fmt(double v) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, ptr);
+}
 
 }  // namespace
 
@@ -70,9 +77,14 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
     throw std::invalid_argument(
         "TemperingEngine: ladder_ratio must be in (0, 1]");
   }
-  if (!(options_.min_temperature > 0.0)) {
+  if (!(options_.cooling > 0.0) || options_.cooling > 1.0) {
+    throw std::invalid_argument("TemperingEngine: cooling must be in (0, 1]");
+  }
+  if (!(options_.min_temperature >= 0.0) ||
+      (options_.min_temperature == 0.0 && options_.replicas > 1)) {
     throw std::invalid_argument(
-        "TemperingEngine: min_temperature must be > 0");
+        "TemperingEngine: min_temperature must be > 0 (0 only with one "
+        "replica)");
   }
   if (options_.adapt_ladder &&
       (!(options_.target_exchange_acceptance > 0.0) ||
@@ -122,22 +134,24 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
   result.best_score = seed_replica.score;
   result.evaluations = 1;
 
-  // Geometric ladder, coldest first; every rung floored so a zero/near-zero
-  // baseline cannot collapse the population into K hill climbers. The
-  // hottest rung is pinned; adapt_ladder only re-spaces the rungs below it.
+  // Geometric ladder, coldest first, cooled per step; every rung floored so
+  // a zero/near-zero baseline cannot collapse the population into K hill
+  // climbers. The hottest rung only cools; adapt_ladder re-spaces the rungs
+  // below it. With cooling == 1 the factor cooling^step is exactly 1.
   const double hot = std::max(
       std::abs(result.baseline_score) * options_.initial_temperature,
       options_.min_temperature);
   double ladder_ratio = options_.ladder_ratio;
   result.temperatures.resize(K);
-  const auto rebuild_ladder = [&] {
+  const auto set_ladder = [&](std::size_t step) {
+    const double top =
+        hot * std::pow(options_.cooling, static_cast<double>(step));
     for (std::size_t k = 0; k < K; ++k) {
       result.temperatures[k] = std::max(
-          hot * std::pow(ladder_ratio, static_cast<double>(K - 1 - k)),
+          top * std::pow(ladder_ratio, static_cast<double>(K - 1 - k)),
           options_.min_temperature);
     }
   };
-  rebuild_ladder();
 
   std::vector<Replica> replicas(K, seed_replica);
   result.trace.reserve(options_.steps * K);
@@ -147,6 +161,7 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
   for (std::size_t step = 0; step < options_.steps; ++step) {
     telemetry::Span step_span("tempering.step");
     steps_run.add();
+    set_ladder(step);
     // Phase 1: propose. All nondeterminism of replica k's step flows from
     // rng[k], on this thread; the flattened batch layout is a pure function
     // of the options and the proposals.
@@ -202,8 +217,9 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
     pool_.run_batch(jobs);
     result.evaluations += slots.size();
 
-    // Phase 3: per-replica Metropolis acceptance at the replica's fixed
-    // rung, coldest first, on this thread.
+    // Phase 3: per-replica Metropolis acceptance at the replica's rung,
+    // coldest first, on this thread. A zero rung (hill climbing) accepts
+    // strict improvements only and draws nothing.
     const std::size_t row0 = result.trace.size();
     std::size_t slot_base = 0;
     for (std::size_t k = 0; k < K; ++k) {
@@ -224,7 +240,7 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
         rec.candidate_score = cand_score;
 
         bool accept = cand_score > replicas[k].score;
-        if (!accept) {
+        if (!accept && rec.temperature > 0.0) {
           const double p = std::exp((cand_score - replicas[k].score) /
                                     rec.temperature);
           accept = rng[k].uniform() < p;
@@ -299,7 +315,6 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
                                     (options_.target_exchange_acceptance -
                                      acceptance)),
             0.05, 0.98);
-        rebuild_ladder();
       }
     }
 
@@ -323,6 +338,7 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
     }
   }
 
+  set_ladder(options_.steps);
   result.final_ladder_ratio = ladder_ratio;
   result.replica_scores.resize(K);
   for (std::size_t k = 0; k < K; ++k) {
@@ -390,7 +406,15 @@ std::string trace_to_json(const std::vector<TemperingStep>& trace) {
 
 void export_trace_file(const std::string& path,
                        const std::vector<TemperingStep>& trace) {
-  detail::export_trace(path, trace, &write_trace_csv, &write_trace_json);
+  std::ofstream os(path);
+  if (!os) {
+    throw std::runtime_error("export_trace_file: cannot open " + path);
+  }
+  if (path.size() >= 5 && path.substr(path.size() - 5) == ".json") {
+    write_trace_json(os, trace);
+  } else {
+    write_trace_csv(os, trace);
+  }
 }
 
 }  // namespace hm::search

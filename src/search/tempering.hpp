@@ -1,19 +1,18 @@
-// Population-based parallel-tempering search over chiplet arrangements.
+// Arrangement search: replica-exchange Monte Carlo over chiplet
+// arrangements.
 //
-// Where search/search.hpp runs ONE chain (hill climb or a cooling anneal),
-// TemperingEngine runs K replicas of the same mutation/evaluate pipeline
-// concurrently, each at a temperature of a geometric ladder:
+// The sweep engine (explore/sweep.hpp) *enumerates* the fixed arrangement
+// families; TemperingEngine *searches* the wider space of (site occupancy,
+// link subset) states around a start arrangement, using the mutation
+// operators of search/mutation.hpp and scoring every candidate through the
+// same Sec. VI evaluate() pipeline the sweeps use. It runs K replicas, each
+// at a rung of a geometric temperature ladder that may cool per step:
 //
-//     T_k = max(T_hot * ladder_ratio^(K-1-k), min_temperature)
-//
-// With adapt_ladder (the default) the spacing self-tunes: after each
-// exchange sweep the ratio moves toward the value that keeps adjacent
-// replicas swapping at target_exchange_acceptance, deterministically,
-// from the sweep's own (deterministic) acceptance count.
+//     T_k(step) = max(T_hot * cooling^step * ladder_ratio^(K-1-k),
+//                     min_temperature)
 //
 // with replica K-1 the hottest (T_hot = |baseline| * initial_temperature,
-// floored) and replica 0 the coldest, near-greedy one. Hot replicas cross
-// score barriers the cold ones cannot; every `exchange_interval` steps
+// floored) and replica 0 the coldest. Every `exchange_interval` steps
 // adjacent replicas attempt a configuration swap with the classical
 // Metropolis exchange rule
 //
@@ -21,16 +20,26 @@
 //
 // so improvements found at high temperature percolate down to the cold
 // replica while the population keeps exploring. Alternating even/odd pair
-// sweeps let a configuration traverse the whole ladder.
+// sweeps let a configuration traverse the whole ladder. With adapt_ladder
+// (the default) the spacing self-tunes: after each exchange sweep the ratio
+// moves toward the value that keeps adjacent replicas swapping at
+// target_exchange_acceptance.
 //
-// Everything heavy is reused from the earlier PRs: candidate evaluations
-// fan out across one explore::ThreadPool (per-worker SimulationArena
-// networks, sharded explore::ResultCache memoization), and each candidate's
-// routing tables are delta-built from its replica's current context via
-// noc::TopologyContext::rebuild_from.
+// A single chain is the K = 1 case:
+//   * hill climbing: replicas = 1, initial_temperature = min_temperature =
+//     0. A zero rung accepts strict improvements only and makes no
+//     Metropolis draw;
+//   * simulated annealing: replicas = 1 and cooling < 1, so the one rung
+//     cools geometrically from T_hot toward min_temperature.
 //
-// Determinism contract (mirrors SearchEngine, pinned by test_tempering):
-// replica k's proposal/acceptance RNG for step s is seeded
+// Everything heavy is shared with the sweeps: candidate evaluations fan out
+// across one explore::ThreadPool (per-worker SimulationArena networks,
+// sharded explore::ResultCache memoization keyed by the stable content
+// hashes), and each candidate's routing tables are delta-built from its
+// replica's current context via noc::TopologyContext::rebuild_from.
+//
+// Determinism contract (pinned by test_tempering): replica k's
+// proposal/acceptance RNG for step s is seeded
 // derive_seed(derive_seed(seed, kReplicaSalt + k), s); the exchange RNG for
 // (step s, pair p) is seeded
 // derive_seed(derive_seed(derive_seed(seed, kExchangeSalt), s), p). All
@@ -59,7 +68,7 @@ namespace hm::search {
 struct TemperingProgress;
 
 struct TemperingOptions {
-  /// Replica count K (>= 1; K == 1 is a single fixed-temperature chain).
+  /// Replica count K (>= 1; K == 1 is a single chain, see above).
   std::size_t replicas = 4;
 
   /// Mutation steps; every step advances all K replicas by one
@@ -67,8 +76,8 @@ struct TemperingOptions {
   /// K * candidates_per_step evaluations).
   std::size_t steps = 48;
 
-  /// Candidates per replica per step. Like SearchOptions, fixed by the
-  /// options — never the thread count — so traces are thread-independent.
+  /// Candidates per replica per step, fixed by the options — never the
+  /// thread count — so traces are thread-independent.
   std::size_t candidates_per_step = 2;
 
   /// Proposal redraws per candidate slot before the slot is skipped.
@@ -78,13 +87,17 @@ struct TemperingOptions {
   /// between sweeps (0-1/2-3/... then 1-2/3-4/...).
   std::size_t exchange_interval = 4;
 
-  /// Hottest-replica temperature as a fraction of |baseline score| (same
-  /// design-independent semantics as SearchOptions::initial_temperature),
-  /// the geometric ladder ratio between adjacent replicas (in (0, 1]), and
-  /// the absolute floor every rung is clamped to (> 0; keeps the ladder
-  /// meaningful when the baseline score is zero or near zero).
+  /// Hottest-replica temperature as a fraction of |baseline score| (so the
+  /// knob transfers across designs and objectives), the geometric ladder
+  /// ratio between adjacent replicas (in (0, 1]), the per-step cooling
+  /// factor of every rung (in (0, 1]; 1 keeps the ladder fixed), and the
+  /// absolute floor every rung is clamped to. The floor keeps Metropolis
+  /// acceptance alive when the baseline score is zero or near zero; it must
+  /// be > 0, except that a single replica may use 0 (a zero rung is hill
+  /// climbing; the exchange rule divides by T).
   double initial_temperature = 0.08;
   double ladder_ratio = 0.5;
+  double cooling = 1.0;
   double min_temperature = 1e-9;
 
   /// Adapt `ladder_ratio` between exchange sweeps: after each sweep the
@@ -104,7 +117,8 @@ struct TemperingOptions {
   unsigned threads = 0;
   bool use_cache = true;
   /// Directory of a persistent store::ResultStore attached under the
-  /// result cache (empty = memory only); see SearchOptions::cache_dir.
+  /// result cache (empty = memory only). Re-searching a neighbourhood with
+  /// a warm store serves revisited states from disk instead of simulating.
   std::string cache_dir;
 
   /// Base of every RNG derivation (see the determinism contract above).
@@ -126,7 +140,8 @@ struct TemperingOptions {
 struct TemperingStep {
   std::size_t step = 0;
   std::size_t replica = 0;
-  double temperature = 0.0;  ///< this replica's (floored) rung at this step
+  double temperature = 0.0;  ///< this replica's (cooled, floored) rung at
+                             ///< this step (0 = hill climbing)
   MutationKind kind = MutationKind::kNone;  ///< selected candidate's op
   std::size_t candidates = 0;  ///< legal proposals evaluated this step
   bool accepted = false;       ///< candidate became the replica's state
@@ -160,8 +175,8 @@ struct TemperingResult {
   double baseline_score = 0.0;
 
   /// Temperature ladder in effect when the run ended, coldest first (after
-  /// flooring). With adapt_ladder the spacing may differ from the initial
-  /// ladder_ratio; trace rows carry the rung each step actually used.
+  /// cooling and flooring). With adapt_ladder the spacing may differ from
+  /// the initial ladder_ratio; trace rows carry the rung each step used.
   std::vector<double> temperatures;
   /// Ladder ratio in effect when the run ended (== options.ladder_ratio
   /// unless adapt_ladder moved it).
@@ -206,8 +221,9 @@ class TemperingEngine {
   explore::ResultCache cache_;
 };
 
-/// Trace serialization, mirroring search/search.hpp: deterministic fields
-/// only, shortest-round-trip doubles.
+/// Trace serialization, mirroring explore/export.hpp: deterministic fields
+/// only, shortest-round-trip doubles, so traces compare byte-for-byte
+/// across thread counts.
 void write_trace_csv(std::ostream& os, const std::vector<TemperingStep>& trace);
 [[nodiscard]] std::string trace_to_csv(const std::vector<TemperingStep>& trace);
 void write_trace_json(std::ostream& os,

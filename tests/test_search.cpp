@@ -1,9 +1,9 @@
-// Tests for the arrangement local-search subsystem: mutation legality per
+// Tests for the arrangement-search building blocks: mutation legality per
 // lattice family, incremental-vs-full RoutingTables equivalence across
 // random edit sequences (the byte-identical rebuild contract of
 // TopologyContext::rebuild_from), intern-cache interchangeability of
-// delta-built and from-scratch contexts, thread-count-independent search
-// traces, and the annealing monotonic-best invariant.
+// delta-built and from-scratch contexts, and the objective scores. The
+// search engine itself is covered by test_tempering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,7 @@
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
 #include "search/mutation.hpp"
-#include "search/search.hpp"
+#include "search/objective.hpp"
 
 namespace {
 
@@ -284,122 +284,6 @@ TEST(IncrementalRebuild, RebuildFromInternsWithAcquire) {
                std::invalid_argument);
 }
 
-// --- SearchEngine --------------------------------------------------------------
-
-hm::search::SearchOptions fast_options() {
-  hm::search::SearchOptions opt;
-  opt.steps = 4;
-  opt.candidates_per_step = 3;
-  opt.seed = 7;
-  opt.params.throughput_warmup = 250;
-  opt.params.throughput_measure = 250;
-  opt.params.latency_warmup = 250;
-  opt.params.latency_measure = 500;
-  return opt;
-}
-
-TEST(SearchEngine, TraceIsThreadCountIndependent) {
-  std::string reference;
-  for (const unsigned threads : {1u, 4u, 8u}) {
-    auto opt = fast_options();
-    opt.threads = threads;
-    hm::search::SearchEngine engine(opt);
-    const auto res =
-        engine.run(make_arrangement(ArrangementType::kGrid, 9));
-    const std::string csv = hm::search::trace_to_csv(res.trace);
-    if (reference.empty()) {
-      reference = csv;
-      EXPECT_EQ(res.trace.size(), opt.steps);
-    } else {
-      EXPECT_EQ(csv, reference) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(SearchEngine, HillClimbAcceptsOnlyImprovements) {
-  auto opt = fast_options();
-  opt.steps = 6;
-  hm::search::SearchEngine engine(opt);
-  const auto res =
-      engine.run(make_arrangement(ArrangementType::kBrickwall, 12));
-  double current = res.baseline_score;
-  for (const auto& s : res.trace) {
-    if (s.accepted) {
-      EXPECT_GT(s.current_score, current);
-    } else {
-      EXPECT_EQ(s.current_score, current);
-    }
-    // Under hill climbing the current state is always the best state.
-    EXPECT_EQ(s.current_score, s.best_score);
-    current = s.current_score;
-  }
-  EXPECT_GE(res.best_score, res.baseline_score);
-}
-
-TEST(SearchEngine, AnnealMonotonicBestInvariant) {
-  auto opt = fast_options();
-  opt.schedule = hm::search::Schedule::kAnneal;
-  opt.steps = 8;
-  opt.candidates_per_step = 2;
-  opt.initial_temperature = 0.05;
-  hm::search::SearchEngine engine(opt);
-  const auto res =
-      engine.run(make_arrangement(ArrangementType::kHexaMesh, 13));
-
-  // The annealing current state may walk downhill, but best-so-far is
-  // monotone and never below the baseline.
-  double best = res.baseline_score;
-  for (const auto& s : res.trace) {
-    EXPECT_GE(s.best_score, best);
-    EXPECT_GE(s.best_score, s.current_score);
-    best = s.best_score;
-  }
-  EXPECT_EQ(best, res.best_score);
-  EXPECT_GE(res.best_score, res.baseline_score);
-  EXPECT_TRUE(hm::search::is_legal_arrangement(res.best));
-  // The reported best is reproducible: re-scoring it yields its score.
-  EXPECT_EQ(res.best_result.saturation_throughput_bps, res.best_score);
-}
-
-TEST(SearchEngine, ZeroBaselineAnnealKeepsMetropolisAlive) {
-  // Regression: the annealing temperature is scaled by |baseline_score|,
-  // so a zero baseline used to collapse the temperature to ~0 and silently
-  // degenerate kAnneal into hill climbing (strictly-worse candidates were
-  // never accepted). The absolute min_temperature floor keeps acceptance
-  // alive; the trace records the effective (floored) temperature.
-  auto opt = fast_options();
-  opt.schedule = hm::search::Schedule::kAnneal;
-  opt.steps = 10;
-  opt.candidates_per_step = 1;  // no best-of-batch bias toward ties
-  opt.seed = 3;
-  opt.min_temperature = 0.75;
-  // Score = link deficit vs. the stock arrangement: baseline is exactly 0,
-  // removing a link scores -1 (strictly worse), re-adding scores back up.
-  const auto start = make_arrangement(ArrangementType::kHexaMesh, 13);
-  const double start_links =
-      static_cast<double>(start.graph().edge_count());
-  opt.objective.custom = [start_links](const hm::core::EvaluationResult& r) {
-    return static_cast<double>(r.link_count) - start_links;
-  };
-  hm::search::SearchEngine engine(opt);
-  const auto res = engine.run(start);
-
-  EXPECT_EQ(res.baseline_score, 0.0);
-  double min_current = 0.0;
-  for (const auto& s : res.trace) {
-    // The floor is the effective temperature (0 * cooling^step < floor)
-    // and the trace makes that visible.
-    EXPECT_DOUBLE_EQ(s.temperature, opt.min_temperature);
-    EXPECT_TRUE(s.temperature_floored);
-    min_current = std::min(min_current, s.current_score);
-  }
-  // Metropolis accepted a strictly-worse candidate (exp(-1/0.75) ~ 0.26
-  // per downhill proposal; deterministic for the fixed seed) — the exact
-  // behavior the pre-floor code could never exhibit at zero baseline.
-  EXPECT_LT(min_current, 0.0);
-  EXPECT_GE(res.best_score, res.baseline_score);
-}
-
 // --- Multi-objective scoring ----------------------------------------------------
 
 TEST(Objective, ThroughputPerLinkAreaIsMonotoneInLinkCount) {
@@ -460,38 +344,6 @@ TEST(Objective, CustomScoreOverridesKindAndSelectsBothMeasurements) {
 
   spec.area_weight = -0.5;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
-}
-
-TEST(SearchEngine, ProgressAndTraceExports) {
-  auto opt = fast_options();
-  opt.steps = 3;
-  std::size_t calls = 0;
-  opt.on_progress = [&](const hm::search::SearchProgress& p) {
-    ++calls;
-    EXPECT_EQ(p.step, calls);
-    EXPECT_EQ(p.total, 3u);
-    ASSERT_NE(p.last, nullptr);
-  };
-  hm::search::SearchEngine engine(opt);
-  const auto res = engine.run(make_arrangement(ArrangementType::kGrid, 8));
-  EXPECT_EQ(calls, 3u);
-
-  const std::string csv = hm::search::trace_to_csv(res.trace);
-  EXPECT_NE(csv.find("step,mutation,candidates"), std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);  // header + 3 rows
-  const std::string json = hm::search::trace_to_json(res.trace);
-  EXPECT_NE(json.find("\"best_score\""), std::string::npos);
-}
-
-TEST(SearchEngine, RejectsDegenerateInputs) {
-  hm::search::SearchEngine engine{hm::search::SearchOptions{}};
-  EXPECT_THROW((void)engine.run(make_arrangement(ArrangementType::kGrid, 1)),
-               std::invalid_argument);
-  auto bad = hm::search::SearchOptions{};
-  bad.candidates_per_step = 0;
-  hm::search::SearchEngine engine2(bad);
-  EXPECT_THROW((void)engine2.run(make_arrangement(ArrangementType::kGrid, 9)),
-               std::invalid_argument);
 }
 
 }  // namespace

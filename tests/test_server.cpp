@@ -1,7 +1,7 @@
 // hm_server contracts (src/server/): wire-protocol codec strictness, the
 // request queue's round-robin fairness + admission control, and a live
-// loopback server exercised over a Unix socket — determinism of evaluate
-// and sweep replies, malformed-frame survival, and clean shutdown.
+// loopback server exercised over a Unix socket — determinism of evaluate,
+// sweep and search replies, malformed-frame survival, and clean shutdown.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -419,6 +419,63 @@ TEST_F(LoopbackServer, StatsReportServedRequests) {
   EXPECT_NE(json.find("\"requests\""), std::string::npos);
   EXPECT_NE(json.find("\"uptime_s\""), std::string::npos);
   EXPECT_GE(server_->stats_snapshot().requests, 2u);
+}
+
+/// Runs one grid N=4, 1-step search against a fresh server with `threads`
+/// pool threads and returns the reply payload.
+std::vector<std::uint8_t> search_reply(const fs::path& dir, unsigned threads) {
+  ServerOptions options;
+  options.unix_path = (dir / ("hm_t" + std::to_string(threads) + ".sock"))
+                          .string();
+  options.threads = threads;
+  options.params.latency_warmup = 250;
+  options.params.latency_measure = 500;
+  options.params.throughput_warmup = 250;
+  options.params.throughput_measure = 250;
+  Server server(options);
+  server.start();
+
+  SearchRequest req;
+  req.type = hm::core::ArrangementType::kGrid;
+  req.chiplet_count = 4;
+  req.steps = 1;
+  req.seed = 5;
+  std::vector<std::uint8_t> payload;
+  encode_search_request(req, payload);
+  const int fd = connect_unix(options.unix_path);
+  EXPECT_GE(fd, 0);
+  auto reply = roundtrip(fd, Command::kSearch, payload);
+  if (fd >= 0) ::close(fd);
+  server.stop();
+  return reply.value_or(std::vector<std::uint8_t>{});
+}
+
+TEST(LoopbackSearch, RepliesAreDeterministicAcrossPoolSizes) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("hm_server_search_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto t1 = search_reply(dir, 1);
+  const auto t4 = search_reply(dir, 4);
+  fs::remove_all(dir);
+
+  ASSERT_EQ(reply_status(t1), Status::kOk);
+  EXPECT_EQ(t1, t4);
+
+  // Body: best score, baseline score, evaluation count, best result.
+  const auto body = reply_body(t1);
+  hm::util::ByteReader r(body.data(), body.size());
+  const double best_score = r.f64();
+  const double baseline_score = r.f64();
+  const std::uint64_t evaluations = r.u64();
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(baseline_score, 0.0);
+  EXPECT_GE(best_score, baseline_score);
+  EXPECT_EQ(evaluations, 5u);  // baseline + 4 candidates
+  const auto best = hm::store::decode_result(body.data() + 24,
+                                             body.size() - 24);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->saturation_throughput_bps, best_score);
 }
 
 TEST_F(LoopbackServer, ShutdownCommandStopsServerAndUnlinksSocket) {

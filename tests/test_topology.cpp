@@ -15,6 +15,7 @@
 #include "noc/ring_buffer.hpp"
 #include "noc/simulator.hpp"
 #include "noc/topology.hpp"
+#include "store/record.hpp"
 
 namespace {
 
@@ -145,9 +146,25 @@ TEST(TopologyContext, EvaluateSimulationRejectsForeignContext) {
   EXPECT_THROW((void)hm::core::evaluate_simulation(arr, params, analytic, {},
                                              nullptr, wrong),
                std::invalid_argument);
-  EXPECT_THROW((void)hm::core::evaluate_simulation(arr, params, analytic, {},
-                                             nullptr, nullptr),
-               std::invalid_argument);
+
+  // A null context means "acquire it": same bytes as an explicit acquire.
+  params.latency_warmup = 200;
+  params.latency_measure = 400;
+  params.throughput_warmup = 200;
+  params.throughput_measure = 200;
+  const auto encode = [](const hm::core::EvaluationResult& r) {
+    std::vector<std::uint8_t> bytes;
+    hm::store::encode_result(r, bytes);
+    return bytes;
+  };
+  const auto acquired = hm::core::evaluate_simulation(
+      arr, params, analytic, {}, nullptr,
+      TopologyContext::acquire(arr.graph()));
+  const auto defaulted =
+      hm::core::evaluate_simulation(arr, params, analytic, {}, nullptr,
+                                    nullptr);
+  EXPECT_GT(acquired.saturation_throughput_bps, 0.0);
+  EXPECT_EQ(encode(defaulted), encode(acquired));
 }
 
 // --- Shared-context equivalence ------------------------------------------------
